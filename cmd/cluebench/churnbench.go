@@ -12,7 +12,7 @@ import (
 
 // churnRecord is one cell of the churn sweep: one burst shape at one
 // update rate, replayed through the incremental recompilation path while
-// the pipeline forwards. Latencies are microseconds; rates are busy-time
+// forwarding goroutines run packets. Latencies are microseconds; rates are busy-time
 // packets per second (see internal/churn).
 type churnRecord struct {
 	Shape           string  `json:"shape"`
@@ -173,7 +173,7 @@ func runChurnBench(path string, seed int64) error {
 		Seed:       seed,
 		TableSize:  tableSize,
 		Note: "updates/sec × burst shape sweep over internal/churn: bursty BGP-shaped " +
-			"streams replayed into a live fastpath.RCU while internal/pipeline forwards; " +
+			"streams replayed into a live fastpath.RCU while forwarding goroutines run packets; " +
 			"latencies are update-visibility (issue → first packet observing the route), " +
 			"rates are busy-time PPS, sweep_mismatches compares the incrementally patched " +
 			"snapshot against a full recompile after quiesce. Modern-scale records replay " +

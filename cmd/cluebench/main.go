@@ -15,12 +15,10 @@
 //
 //	cluebench [-table all|1|2|3|4|5|6|7|8|9] [-packets 10000]
 //	          [-scale 1.0] [-seed 1999] [-snapshots dir]
-//	          [-json] [-cpus 1,2,4,8] [-churn]
+//	          [-json] [-churn]
 //
-// -cpus runs the sharded multi-worker pipeline (internal/pipeline) over a
-// warmed fastpath table at each worker count and writes the scaling sweep
-// to BENCH_pipeline.json. -churn replays bursty BGP-shaped update streams
-// into a live fastpath.RCU while the pipeline forwards (internal/churn)
+// -churn replays bursty BGP-shaped update streams into a live
+// fastpath.RCU while forwarding goroutines run packets (internal/churn)
 // and writes the updates/sec × burst-shape sweep to BENCH_churn.json.
 package main
 
@@ -53,7 +51,6 @@ func main() {
 		detail    = flag.Bool("detail", false, "also print the Advance distribution (1-reference share, worst case) per pair")
 		hardware  = flag.Bool("hardware", false, "translate each pair's results to 1999 hardware terms (Mlookups/s, Gbit/s)")
 		jsonBench = flag.Bool("json", false, "run the wall-clock fastpath benchmarks and write BENCH_fastpath.json instead of the paper tables")
-		cpus      = flag.String("cpus", "", "comma-separated worker counts (e.g. 1,2,4,8): run the sharded-pipeline scaling sweep and write BENCH_pipeline.json instead of the paper tables")
 		churnSwp  = flag.Bool("churn", false, "run the BGP churn replay sweep (updates/sec × burst shape) and write BENCH_churn.json instead of the paper tables")
 		scaleSwp  = flag.String("scalebench", "", "comma-separated IPv4 prefix counts (e.g. 100000,1000000): run the modern-scale flat-vs-compressed sweep and write BENCH_scale.json instead of the paper tables")
 		scaleV6   = flag.String("scalev6", "", "comma-separated IPv6 prefix counts for -scalebench (empty = IPv4 only)")
@@ -105,16 +102,6 @@ func main() {
 
 	if *jsonBench {
 		if err := runJSONBench("BENCH_fastpath.json", routers, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *cpus != "" {
-		counts, err := parseCPUList(*cpus)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runPipelineBench("BENCH_pipeline.json", routers, *seed, counts); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -3,9 +3,10 @@
 // socket on the loopback interface, and forwards real packets between them.
 // Every packet carries a marshaled IPv4 header (internal/header) whose
 // options field holds the 5-bit clue; each router parses the header,
-// resolves the next hop through its clue table (internal/core), rewrites
-// the clue option with its own best matching prefix, decrements the TTL,
-// re-checksums, and sends the datagram to the next router's socket.
+// resolves the next hop through its clue table (internal/core, compiled
+// into internal/fastpath snapshots), rewrites the clue option with its
+// own best matching prefix, decrements the TTL, re-checksums, and sends
+// the datagram to the next router's socket.
 //
 // The demo prints the per-router memory-reference totals, showing the
 // paper's effect on a running network stack rather than in a simulator.
@@ -19,20 +20,21 @@
 // drain with final statistics, malformed-datagram and no-route counters
 // instead of silent drops, and bounded non-blocking retry with per-peer
 // backoff windows on UDP send errors (a failing peer sheds its own
-// traffic; it never stalls the worker loop or other peers' sends). With
-// -faults it feeds its own wire through the internal/fault injector —
+// traffic; it never stalls the forwarding loop or other peers' sends).
+// With -faults it feeds its own wire through the internal/fault injector —
 // corrupted clues and mangled datagrams — and must still deliver every
 // packet that survives the wire, routed exactly as a full lookup would.
 //
-// With -workers N each router runs N socket readers feeding N pipeline
-// workers over SPSC rings (internal/pipeline), so one busy router spreads
-// its datagram processing across cores instead of serializing on one
-// goroutine. Per-worker packet and error counters join the registry.
+// Every router runs one forwarding loop (serve): receive a batch, handle
+// each datagram, flush one batched write per next hop. -workers N runs N
+// copies of that loop on the router's socket, each with its own reader,
+// writer and egress, so one busy router spreads its datagram processing
+// across cores. Per-worker packet and error counters join the registry.
 //
 // Usage:
 //
 //	clued [-routers 6] [-packets 100] [-timeout 10s] [-faults 0.2] [-faultseed 1]
-//	      [-metrics localhost:9090] [-linger 30s] [-seq] [-v] [-v6] [-fastpath]
+//	      [-metrics localhost:9090] [-linger 30s] [-seq] [-v] [-v6]
 //	      [-workers 4]
 //
 // Exit status is nonzero when packets the wire did not eat are undelivered
@@ -51,7 +53,7 @@ import (
 	_ "net/http/pprof" // -pprof: profiling endpoints on an opt-in listener
 	"os"
 	"os/signal"
-	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -67,7 +69,6 @@ import (
 	"repro/internal/ip"
 	"repro/internal/lookup"
 	"repro/internal/mem"
-	"repro/internal/pipeline"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 )
@@ -75,9 +76,9 @@ import (
 // sendRetries bounds immediate, non-sleeping resubmission of a failing
 // batch. Past the bound the remaining frames are dropped and counted
 // and the peer enters a backoff window — sends to it are dropped on
-// sight until the window expires, so a dead peer costs the worker loop
-// nothing (the old inline time.Sleep backoff head-of-line-blocked every
-// other peer sharing the worker). Windows start at sendBackoff and
+// sight until the window expires, so a dead peer costs the forwarding
+// loop nothing (the old inline time.Sleep backoff head-of-line-blocked
+// every other peer sharing the loop). Windows start at sendBackoff and
 // quadruple per consecutive failing batch, capped at maxSendBackoff.
 const (
 	sendRetries    = 3
@@ -86,30 +87,18 @@ const (
 )
 
 // egressBatch bounds frames buffered per peer before an auto-flush;
-// readBatch and workerBatch size the ingress side. A worker drains at
-// most workerBatch datagrams from its ring, then flushes its egress —
-// with mmsg batching, one drained batch costs one syscall per distinct
-// next hop instead of one per packet.
+// readBatch sizes the ingress side. The forwarding loop receives at most
+// readBatch datagrams per wakeup, then flushes its egress — with mmsg
+// batching, one received batch costs one syscall per distinct next hop
+// instead of one per packet.
 const (
 	egressBatch = 64
 	readBatch   = 64
-	workerBatch = 64
 )
 
 // traceCapacity is how many recent hop events the daemon's /trace endpoint
 // can replay.
 const traceCapacity = 2048
-
-// clueForwarder is the read-side surface the data path needs; it is
-// satisfied by both clue-table representations — the interpreted
-// core.ConcurrentTable (RWMutex) and the compiled fastpath.RCU
-// (snapshot swap, selected with -fastpath).
-type clueForwarder interface {
-	Process(dest ip.Addr, clueLen int, cnt *mem.Counter) core.Result
-	ProcessNoClue(dest ip.Addr, cnt *mem.Counter) core.Result
-	Len() int
-	Learned() int
-}
 
 // routerTel is one router's slice of the daemon registry. The per-packet
 // bundle (outcomes, refs/packet) is recorded by the clue table itself;
@@ -123,8 +112,8 @@ type routerTel struct {
 	sendRetry *telemetry.Counter
 	sendDrop  *telemetry.Counter
 	delivered *telemetry.Counter
-	// Per-pipeline-worker accounting, populated only in -workers mode:
-	// datagrams drained and datagrams the data path rejected, per worker.
+	// Per-copy accounting of the forwarding loop: datagrams received and
+	// datagrams the data path rejected, indexed by worker.
 	workerPkts []*telemetry.Counter
 	workerErrs []*telemetry.Counter
 }
@@ -149,9 +138,9 @@ func newRouterTel(reg *telemetry.Registry, router string, workers int) *routerTe
 	for w := 0; w < workers; w++ {
 		wl := telemetry.L("worker", fmt.Sprint(w))
 		t.workerPkts = append(t.workerPkts, reg.NewCounter("clued_worker_packets_total",
-			"datagrams drained by each pipeline worker", lbl, wl))
+			"datagrams received by each copy of the forwarding loop", lbl, wl))
 		t.workerErrs = append(t.workerErrs, reg.NewCounter("clued_worker_errors_total",
-			"datagrams the data path rejected, per pipeline worker", lbl, wl))
+			"datagrams the data path rejected, per copy of the forwarding loop", lbl, wl))
 	}
 	return t
 }
@@ -169,23 +158,22 @@ type peerLink struct {
 	failStreak    atomic.Int32
 }
 
-// egress is the per-worker frame batcher: frames group by next hop and
-// flush as one batched write per peer per drained ring batch.
-type egress = pipeline.Egress[*peerLink, []byte]
+// egress is one forwarding loop's frame batcher: frames group by next
+// hop and flush as one batched write per peer per received batch.
+type egress = Egress[*peerLink, []byte]
 
-// udpRouter is one chain hop: a UDP socket plus a clue-routing engine.
+// udpRouter is one hop: a UDP socket plus a compiled clue table.
 type udpRouter struct {
 	name    string
 	conn    *net.UDPConn
 	bconn   *batchio.Conn // wraps conn for batched I/O (toggle: -batchio)
 	table   *fib.Table
-	clues   clueForwarder
-	fast    *fastpath.RCU        // non-nil in -fastpath mode: misses learn through it
+	rcu     *fastpath.RCU        // the clue table; misses learn through its writer
 	peers   map[string]*peerLink // next-hop name -> link state
 	sink    *peerLink            // node mode: delivered packets forward here raw
 	inj     *fault.Injector      // nil when -faults is 0
 	verbose bool
-	workers int            // pipeline workers per router; <= 1 is the serial loop
+	workers int            // copies of the forwarding loop on this socket
 	done    chan<- ip.Addr // delivery notifications; nil in node mode
 	tel     *routerTel
 	tracer  *telemetry.HopTracer
@@ -194,9 +182,53 @@ type udpRouter struct {
 	sendHook func(p *peerLink, frames [][]byte) (int, error)
 }
 
-// newEgress builds one worker's egress, bound to its batchio Writer.
+// newRouter builds one hop on a fresh loopback socket, in either mode:
+// the clue table compiled into an RCU under the given layout, with the
+// table's per-packet telemetry, the RCU writer metrics and the entry
+// gauges registered under the router's name. The caller wires peers,
+// sink, delivery channel and injector, and closes r.conn.
+func newRouter(reg *telemetry.Registry, tracer *telemetry.HopTracer, name string,
+	tab *fib.Table, tcfg core.Config, layout fastpath.Layout, workers int, batch bool) (*udpRouter, error) {
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, fmt.Errorf("listen: %w", err)
+	}
+	// A deep receive queue absorbs bursts; the kernel clamps to
+	// rmem_max, so failure or a smaller effective size only costs loss
+	// tolerance, never correctness.
+	_ = conn.SetReadBuffer(4 << 20)
+	bc := batchio.New(conn)
+	bc.SetBatching(batch)
+	workers = max(1, workers)
+	r := &udpRouter{
+		name:    name,
+		conn:    conn,
+		bconn:   bc,
+		table:   tab,
+		workers: workers,
+		tel:     newRouterTel(reg, name, workers),
+		tracer:  tracer,
+	}
+	ct, err := core.NewTable(tcfg)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	ct.SetTelemetry(r.tel.pm) // Process records outcomes and refs/packet
+	r.rcu = fastpath.NewRCULayout(ct, layout)
+	registerFastpathMetrics(reg, name, r.rcu)
+	lbl := telemetry.L("router", name)
+	reg.NewGauge("clued_table_entries",
+		"current clue-table entries", func() uint64 { return uint64(r.rcu.Len()) }, lbl)
+	reg.NewGauge("clued_learned_entries",
+		"clue-table entries learned on the fly", func() uint64 { return uint64(r.rcu.Learned()) }, lbl)
+	return r, nil
+}
+
+// newEgress builds one forwarding loop's egress, bound to its batchio
+// Writer.
 func (r *udpRouter) newEgress(w *batchio.Writer) *egress {
-	return pipeline.NewEgress(egressBatch, func(p *peerLink, frames [][]byte) {
+	return NewEgress(egressBatch, func(p *peerLink, frames [][]byte) {
 		r.sendBatch(w, p, frames)
 	})
 }
@@ -215,21 +247,29 @@ func (r *udpRouter) unblock() {
 	}
 }
 
-// serve reads datagrams until the context is canceled or the socket is
-// closed. Readers block in the kernel with no deadline churn; shutdown
-// cancels the context and calls unblock. With -workers it instead fans
-// the socket out to a per-router pipeline.
-func (r *udpRouter) serve(ctx context.Context) {
-	if r.workers > 1 {
-		r.servePipelined(ctx)
-		return
+// start launches r.workers copies of serve on the router's socket, each
+// joined through wg.
+func (r *udpRouter) start(ctx context.Context, wg *sync.WaitGroup) {
+	for w := 0; w < r.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r.serve(ctx, w)
+		}(w)
 	}
-	// Single-worker fast path: same batched I/O discipline as the
-	// pipeline — receive up to readBatch datagrams per wakeup (one
-	// recvmmsg when batching is on) and flush the egress once per
-	// received batch, not once per packet. Each datagram gets its own
-	// buffer because emitted frames alias the input in place; the flush
-	// before the next Recv keeps that sound.
+}
+
+// serve is the forwarding loop, run as copy number worker: receive up to
+// readBatch datagrams per wakeup (one recvmmsg when batching is on),
+// handle each, and flush the egress once per received batch, not once
+// per packet. Each datagram gets its own buffer because emitted frames
+// alias the input in place; the flush before the next Recv keeps that
+// sound. Every copy owns its Reader, Writer and egress; copies share
+// only the RCU and the telemetry, both safe under concurrent use.
+// Readers block in the kernel with no deadline churn; serve returns
+// when the context is canceled (shutdown then calls unblock) or the
+// socket is closed.
+func (r *udpRouter) serve(ctx context.Context, worker int) {
 	eg := r.newEgress(r.bconn.NewWriter())
 	rd := r.bconn.NewReader()
 	bufs := make([][]byte, readBatch)
@@ -237,6 +277,7 @@ func (r *udpRouter) serve(ctx context.Context) {
 	for i := range bufs {
 		bufs[i] = make([]byte, 2048)
 	}
+	pkts, errs := r.tel.workerPkts[worker], r.tel.workerErrs[worker]
 	for {
 		k, err := rd.Recv(bufs, sizes)
 		if ctx.Err() != nil {
@@ -249,104 +290,20 @@ func (r *udpRouter) serve(ctx context.Context) {
 			}
 			return // socket closed: shut down
 		}
+		r.tel.pm.ObserveBatch(uint64(k))
+		pkts.Add(uint64(k))
+		bad := uint64(0)
 		for i := 0; i < k; i++ {
-			_ = r.handle(bufs[i][:sizes[i]], eg) // drops are accounted in the error taxonomy counters
+			// Drops are accounted in the error taxonomy counters too.
+			if r.handle(bufs[i][:sizes[i]], eg) != nil {
+				bad++
+			}
+		}
+		if bad > 0 {
+			errs.Add(bad)
 		}
 		eg.Flush()
 	}
-}
-
-// dgram is one received datagram, sized for the ring: a fixed buffer so
-// the reader → worker handoff never allocates.
-type dgram struct {
-	n   int
-	buf [2048]byte
-}
-
-// servePipelined is the -workers data path: N socket readers, each the
-// single producer of its own SPSC ring, feeding N workers that run the
-// normal handle path. The clue tables (ConcurrentTable or RCU) and all
-// telemetry are already safe under concurrent handle calls, so workers
-// need no shared state beyond them. Readers receive up to readBatch
-// datagrams per wakeup (one recvmmsg when batching is on) and workers
-// drain their rings in batches, flushing one batched write per next hop
-// per drained batch. On shutdown the readers exit first (context
-// cancellation plus unblock, or socket close), then the rings are
-// closed and every worker drains what remains before returning — a
-// graceful drain, no datagram accepted from the socket is dropped by
-// the pipeline itself.
-func (r *udpRouter) servePipelined(ctx context.Context) {
-	rings := make([]*pipeline.Ring[dgram], r.workers)
-	for i := range rings {
-		rings[i] = pipeline.NewRing[dgram](256)
-	}
-	var workWG sync.WaitGroup
-	for i := range rings {
-		workWG.Add(1)
-		go func(w int) {
-			defer workWG.Done()
-			ring := rings[w]
-			eg := r.newEgress(r.bconn.NewWriter())
-			batch := make([]dgram, workerBatch)
-			for {
-				n := ring.PopBatch(batch)
-				if n == 0 {
-					if ring.Drained() {
-						eg.Flush()
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				for i := 0; i < n; i++ {
-					if err := r.handle(batch[i].buf[:batch[i].n], eg); err != nil {
-						r.tel.workerErrs[w].Inc()
-					}
-					r.tel.workerPkts[w].Inc()
-				}
-				eg.Flush() // frames reference ring buffers; flush before the next drain
-			}
-		}(i)
-	}
-	var readWG sync.WaitGroup
-	for i := range rings {
-		readWG.Add(1)
-		go func(w int) {
-			defer readWG.Done()
-			ring := rings[w]
-			rd := r.bconn.NewReader()
-			ds := make([]dgram, readBatch)
-			bufs := make([][]byte, readBatch)
-			sizes := make([]int, readBatch)
-			for i := range ds {
-				bufs[i] = ds[i].buf[:]
-			}
-			for {
-				k, err := rd.Recv(bufs, sizes)
-				if ctx.Err() != nil {
-					return
-				}
-				if err != nil {
-					var ne net.Error
-					if errors.As(err, &ne) && ne.Timeout() {
-						continue // stray deadline; shutdown cancels ctx first
-					}
-					return
-				}
-				for i := 0; i < k; i++ {
-					ds[i].n = sizes[i]
-					if !ring.Push(ds[i]) {
-						return // ring closed underneath us: shutting down
-					}
-				}
-			}
-		}(i)
-	}
-	readWG.Wait()
-	for _, ring := range rings {
-		ring.Close()
-	}
-	workWG.Wait()
 }
 
 // trace appends one hop event to the daemon's ring buffer.
@@ -366,11 +323,12 @@ func (r *udpRouter) trace(dest ip.Addr, clueIn int, res core.Result, refs int) {
 }
 
 // handle runs the data path on one datagram, buffering output frames on
-// eg (the caller flushes once per drained batch). The returned error
+// eg (the caller flushes once per received batch). The returned error
 // reports why a packet died (malformed, expired, no route, re-marshal
 // failure, unknown hop); the specific taxonomy counters are still
-// incremented here, the error return feeds the per-worker counters in
-// -workers mode.
+// incremented here, the error return feeds the per-worker counters.
+// Lookups stay per packet, Process then Learn: a batch-wide snapshot
+// would hide an entry learned from an earlier packet of the same batch.
 func (r *udpRouter) handle(pkt []byte, eg *egress) error {
 	if len(pkt) > 0 && pkt[0]>>4 == 6 {
 		return r.handleV6(pkt, eg)
@@ -404,12 +362,12 @@ func (r *udpRouter) handle(pkt []byte, eg *egress) error {
 	var cnt mem.Counter
 	var res core.Result
 	if clueIn >= 0 {
-		res = r.clues.Process(dst, clueIn, &cnt)
-		if r.fast != nil && res.Outcome == core.OutcomeMiss {
-			r.fast.Learn(dst, clueIn) // snapshots learn off the read path
+		res = r.rcu.Process(dst, clueIn, &cnt)
+		if res.Outcome == core.OutcomeMiss {
+			r.rcu.Learn(dst, clueIn) // snapshots learn off the read path
 		}
 	} else {
-		res = r.clues.ProcessNoClue(dst, &cnt)
+		res = r.rcu.ProcessNoClue(dst, &cnt)
 	}
 	r.trace(dst, clueIn, res, cnt.Count())
 	if !res.OK {
@@ -469,8 +427,8 @@ func (r *udpRouter) handle(pkt []byte, eg *egress) error {
 func (r *udpRouter) deliver(pkt []byte, dst ip.Addr, eg *egress) {
 	r.tel.delivered.Inc()
 	if r.sink != nil {
-		// pkt aliases the worker's ring buffer, which lives until the
-		// next drain — after the flush this egress sees at batch end.
+		// pkt aliases the loop's receive buffer, which lives until the
+		// next Recv — after the flush this egress sees at batch end.
 		eg.Add(r.sink, pkt)
 	}
 	if r.done != nil {
@@ -498,12 +456,12 @@ func (r *udpRouter) handleV6(pkt []byte, eg *egress) error {
 	clueIn := -1
 	if h.Clue != nil {
 		clueIn = h.Clue.Len
-		res = r.clues.Process(h.Dst, h.Clue.Len, &cnt)
-		if r.fast != nil && res.Outcome == core.OutcomeMiss {
-			r.fast.Learn(h.Dst, h.Clue.Len)
+		res = r.rcu.Process(h.Dst, h.Clue.Len, &cnt)
+		if res.Outcome == core.OutcomeMiss {
+			r.rcu.Learn(h.Dst, h.Clue.Len)
 		}
 	} else {
-		res = r.clues.ProcessNoClue(h.Dst, &cnt)
+		res = r.rcu.ProcessNoClue(h.Dst, &cnt)
 	}
 	r.trace(h.Dst, clueIn, res, cnt.Count())
 	if !res.OK {
@@ -548,7 +506,7 @@ func (r *udpRouter) egressClue(clueLen int) *header.ClueOption {
 	return &header.ClueOption{Len: clueLen}
 }
 
-// emit buffers a datagram for peer on the worker's egress (via the
+// emit buffers a datagram for peer on the loop's egress (via the
 // injector's transport classes when faults are on). The physical write
 // happens at the egress flush, batched per peer.
 func (r *udpRouter) emit(out []byte, peer *peerLink, eg *egress) {
@@ -563,11 +521,11 @@ func (r *udpRouter) emit(out []byte, peer *peerLink, eg *egress) {
 }
 
 // sendBatch writes one peer's frames. Failure handling never sleeps in
-// the worker loop: a failing batch is resubmitted immediately up to
+// the forwarding loop: a failing batch is resubmitted immediately up to
 // sendRetries times; past the bound the rest of the batch is dropped
 // and counted and the peer enters a growing backoff window, during
 // which further batches to it are dropped on sight. A single success
-// resets the peer. Live peers sharing the worker are unaffected either
+// resets the peer. Live peers sharing the loop are unaffected either
 // way — the regression test pins that a dead peer does not reduce their
 // goodput.
 func (r *udpRouter) sendBatch(w *batchio.Writer, p *peerLink, frames [][]byte) {
@@ -685,12 +643,12 @@ type config struct {
 	faultSeed int64
 	verbose   bool
 	useV6     bool
-	useFast   bool
 	// sequential sends each packet only after the previous one was
-	// delivered — deterministic learning order, used by the parity tests.
+	// delivered — deterministic learning order, used by the differential
+	// tests.
 	sequential bool
-	// workers > 1 runs each router's data path as a sharded pipeline:
-	// that many socket readers and ring-fed workers per router.
+	// workers is how many copies of the forwarding loop each router runs
+	// on its socket; 0 means 1.
 	workers int
 	// batchio batches socket I/O through sendmmsg/recvmmsg where the
 	// platform supports it; false forces the one-datagram-per-syscall
@@ -718,6 +676,10 @@ type routerReport struct {
 	sendFail, sendRetry, sendDrop uint64
 	entries int
 	learned int
+	// clues is the clue table's final content as sorted entry lines.
+	clues []string
+	// Sums of the per-worker counters: datagrams received and rejected.
+	workerPackets, workerErrors uint64
 }
 
 // result is what a completed run reports back.
@@ -726,10 +688,83 @@ type result struct {
 	interrupted bool
 	routers     []routerReport
 	faultCounts string // empty when injection was off
-	// Sums of the per-worker pipeline counters across all routers;
-	// zero when -workers was 1.
-	workerPackets uint64
-	workerErrors  uint64
+}
+
+// chain is the -routers topology: routers r0..rN-1 in a line, the tail
+// originating nested prefixes around host that the middle and the head
+// aggregate, and ten unrelated prefixes originated at every router.
+type chain struct {
+	names  []string
+	tables map[string]*fib.Table
+	host   ip.Addr
+	v6     bool
+}
+
+// newChain builds the chain topology and its forwarding tables.
+func newChain(routers int, v6 bool) (*chain, error) {
+	top := routing.NewTopology()
+	names := routing.Chain(top, "r", routers)
+	host := ip.MustParseAddr("204.17.33.40")
+	lengths := []int{8, 16, 24}
+	if v6 {
+		host = ip.MustParseAddr("2001:db8:17:33::40")
+		lengths = []int{32, 48, 64}
+	}
+	if err := routing.NestedOrigination(top, names[routers-1], host,
+		lengths, []int{-1, routers / 2, 2}); err != nil {
+		return nil, err
+	}
+	for i, name := range names {
+		for k := 0; k < 10; k++ {
+			var p ip.Prefix
+			if v6 {
+				base := ip.AddrFrom128(uint64(0x2002+i*3+k)<<48, 0)
+				p = ip.PrefixFrom(base, 32+(k*3)%9)
+			} else {
+				base := ip.AddrFrom32(uint32(20+i*3+k) << 24)
+				p = ip.PrefixFrom(base, 8+(k*3)%9)
+			}
+			if err := top.Originate(name, p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &chain{names: names, tables: top.ComputeTables(), host: host, v6: v6}, nil
+}
+
+// dest is the destination of the i-th injected packet: one of 64 (IPv4)
+// or 256 (IPv6) hosts next to the tail's host, so every packet crosses
+// the whole chain.
+func (c *chain) dest(i int) ip.Addr {
+	if c.v6 {
+		return c.host.WithBit(120+i%8, byte(i>>3)&1)
+	}
+	return ip.AddrFrom32(c.host.Uint32()&^uint32(0xFF) | uint32(i%64))
+}
+
+// chainTableConfig is a chain router's clue table over its forwarding trie.
+func chainTableConfig(tab *fib.Table) core.Config {
+	tr := tab.Trie()
+	return core.Config{
+		Method: core.Simple, // sound for any clue a wire can carry
+		Engine: lookup.NewPatricia(tr),
+		Local:  tr,
+		Learn:  true,
+		// Every learned clue is kept forever (§3.4); the cap keeps an
+		// adversarial wire from growing the table without bound.
+		LearnLimit: 1 << 12,
+	}
+}
+
+// entryLines renders a clue table's entries as sorted lines — the
+// format of node mode's /entries and of the final report.
+func entryLines(rcu *fastpath.RCU) []string {
+	lines := make([]string, 0, rcu.Len())
+	for _, e := range rcu.Export() {
+		lines = append(lines, cluster.EntryLine(e))
+	}
+	sort.Strings(lines)
+	return lines
 }
 
 // run builds the chain, pushes cfg.packets through it, and reports. It
@@ -761,37 +796,11 @@ func run(ctx context.Context, cfg config) (*result, error) {
 		}
 	}
 
-	// Build the chain topology and its forwarding tables.
-	top := routing.NewTopology()
-	names := routing.Chain(top, "r", cfg.routers)
-	host := ip.MustParseAddr("204.17.33.40")
-	lengths := []int{8, 16, 24}
-	width := 32
-	if cfg.useV6 {
-		host = ip.MustParseAddr("2001:db8:17:33::40")
-		lengths = []int{32, 48, 64}
-		width = 128
-	}
-	if err := routing.NestedOrigination(top, names[cfg.routers-1], host,
-		lengths, []int{-1, cfg.routers / 2, 2}); err != nil {
+	ch, err := newChain(cfg.routers, cfg.useV6)
+	if err != nil {
 		return nil, err
 	}
-	for i, name := range names {
-		for k := 0; k < 10; k++ {
-			var p ip.Prefix
-			if cfg.useV6 {
-				base := ip.AddrFrom128(uint64(0x2002+i*3+k)<<48, 0)
-				p = ip.PrefixFrom(base, 32+(k*3)%9)
-			} else {
-				base := ip.AddrFrom32(uint32(20+i*3+k) << 24)
-				p = ip.PrefixFrom(base, 8+(k*3)%9)
-			}
-			if err := top.Originate(name, p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tables := top.ComputeTables()
+	names := ch.names
 
 	// One shared injector: the wire is one medium, so the reorder holdback
 	// and the stale-clue memory span all links, as they would on a bus.
@@ -805,6 +814,10 @@ func run(ctx context.Context, cfg config) (*result, error) {
 		for _, c := range fault.TransportClasses {
 			rates[c] = cfg.faultRate
 		}
+		width := 32
+		if cfg.useV6 {
+			width = 128
+		}
 		inj = fault.New(fault.Config{Seed: cfg.faultSeed, Width: width, Rates: rates})
 	}
 
@@ -813,53 +826,15 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	routers := make(map[string]*udpRouter, len(names))
 	addrs := make(map[string]*net.UDPAddr, len(names))
 	for _, name := range names {
-		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		tab := ch.tables[name]
+		r, err := newRouter(reg, tracer, name, tab, chainTableConfig(tab),
+			fastpath.LayoutAuto, cfg.workers, cfg.batchio)
 		if err != nil {
-			return nil, fmt.Errorf("listen: %w", err)
+			return nil, err
 		}
-		defer conn.Close()
-		_ = conn.SetReadBuffer(4 << 20) // absorb bursts; kernel clamps to rmem_max
-		addrs[name] = conn.LocalAddr().(*net.UDPAddr)
-		tab := tables[name]
-		tr := tab.Trie()
-		ct := core.MustNewTable(core.Config{
-			Method: core.Simple, // sound for any clue a wire can carry
-			Engine: lookup.NewPatricia(tr),
-			Local:  tr,
-			Learn:  true,
-			// Every learned clue is kept forever (§3.4); the cap keeps
-			// an adversarial wire from growing the table without bound.
-			LearnLimit: 1 << 12,
-		})
-		bc := batchio.New(conn)
-		bc.SetBatching(cfg.batchio)
-		r := &udpRouter{
-			name:    name,
-			conn:    conn,
-			bconn:   bc,
-			table:   tab,
-			inj:     inj,
-			verbose: cfg.verbose,
-			workers: cfg.workers,
-			done:    done,
-			tel:     newRouterTel(reg, name, cfg.workers),
-			tracer:  tracer,
-		}
-		ct.SetTelemetry(r.tel.pm) // Process records outcomes and refs/packet
-		if cfg.useFast {
-			r.fast = fastpath.NewRCU(ct)
-			registerFastpathMetrics(reg, name, r.fast)
-			r.clues = r.fast
-		} else {
-			r.clues = core.NewConcurrentTable(ct)
-		}
-		fwd := r.clues
-		reg.NewGauge("clued_table_entries",
-			"current clue-table entries", func() uint64 { return uint64(fwd.Len()) },
-			telemetry.L("router", name))
-		reg.NewGauge("clued_learned_entries",
-			"clue-table entries learned on the fly", func() uint64 { return uint64(fwd.Learned()) },
-			telemetry.L("router", name))
+		defer r.conn.Close()
+		r.inj, r.verbose, r.done = inj, cfg.verbose, done
+		addrs[name] = r.conn.LocalAddr().(*net.UDPAddr)
 		routers[name] = r
 	}
 	var serveWG sync.WaitGroup
@@ -880,8 +855,7 @@ func run(ctx context.Context, cfg config) (*result, error) {
 		for name, a := range addrs {
 			r.peers[name] = &peerLink{name: name, addr: a}
 		}
-		serveWG.Add(1)
-		go func(r *udpRouter) { defer serveWG.Done(); r.serve(serveCtx) }(r)
+		r.start(serveCtx, &serveWG)
 	}
 	fmt.Printf("chain of %d UDP routers on 127.0.0.1 (%s .. %s)\n",
 		cfg.routers, addrs[names[0]], addrs[names[cfg.routers-1]])
@@ -897,17 +871,15 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	deadline := time.After(cfg.timeout)
 	marshal := func(i int) ([]byte, error) {
 		if cfg.useV6 {
-			dest := host.WithBit(120+i%8, byte(i>>3)&1)
 			h := &header.IPv6{
 				HopLimit: 32, NextHeader: 17,
-				Src: ip.MustParseAddr("2001:db8::1"), Dst: dest,
+				Src: ip.MustParseAddr("2001:db8::1"), Dst: ch.dest(i),
 			}
 			return h.Marshal(4)
 		}
-		dest := ip.AddrFrom32(host.Uint32()&^uint32(0xFF) | uint32(i%64))
 		h := &header.IPv4{
 			TTL: 32, Protocol: 17, ID: uint16(i),
-			Src: ip.MustParseAddr("10.0.0.1"), Dst: dest,
+			Src: ip.MustParseAddr("10.0.0.1"), Dst: ch.dest(i),
 		}
 		return h.Marshal(4)
 	}
@@ -981,19 +953,18 @@ wait:
 			sendFail:  r.tel.sendFail.Value(),
 			sendRetry: r.tel.sendRetry.Value(),
 			sendDrop:  r.tel.sendDrop.Value(),
-			entries:   r.clues.Len(),
-			learned:   r.clues.Learned(),
+			entries:   r.rcu.Len(),
+			learned:   r.rcu.Learned(),
+			clues:     entryLines(r.rcu),
 		}
 		for i := 0; i < core.NumOutcomes; i++ {
 			rep.outcomes[i] = r.tel.pm.OutcomeCount(i)
 		}
+		for w := range r.tel.workerPkts {
+			rep.workerPackets += r.tel.workerPkts[w].Value()
+			rep.workerErrors += r.tel.workerErrs[w].Value()
+		}
 		res.routers = append(res.routers, rep)
-		for _, c := range r.tel.workerPkts {
-			res.workerPackets += c.Value()
-		}
-		for _, c := range r.tel.workerErrs {
-			res.workerErrors += c.Value()
-		}
 	}
 	if inj != nil {
 		res.faultCounts = fmt.Sprint(inj.Counts())
@@ -1062,9 +1033,8 @@ func main() {
 		faultSeed   = flag.Int64("faultseed", 1, "fault injector seed")
 		verbose     = flag.Bool("v", false, "log every hop")
 		useV6       = flag.Bool("v6", false, "use IPv6 headers (7-bit clue in a hop-by-hop option)")
-		useFast     = flag.Bool("fastpath", false, "route through compiled fastpath snapshots (internal/fastpath) instead of interpreted clue tables")
 		sequential  = flag.Bool("seq", false, "send each packet only after the previous one was delivered (deterministic learning order)")
-		workers     = flag.Int("workers", 1, "pipeline workers (and socket readers) per router; 1 is the serial loop")
+		workers     = flag.Int("workers", 1, "copies of the forwarding loop per router, each with its own socket reader, writer and egress")
 		useBatchIO  = flag.Bool("batchio", true, "batch socket I/O with sendmmsg/recvmmsg where supported; false forces one datagram per syscall")
 		pprofAddr   = flag.String("pprof", "", "listen address for net/http/pprof, e.g. localhost:6060 (empty disables)")
 		metricsAddr = flag.String("metrics", "", "listen address for /metrics (Prometheus) and /trace, e.g. localhost:9090 (empty disables)")
@@ -1143,7 +1113,6 @@ func main() {
 		faultSeed:  *faultSeed,
 		verbose:    *verbose,
 		useV6:      *useV6,
-		useFast:    *useFast,
 		sequential: *sequential,
 		workers:    *workers,
 		batchio:    *useBatchIO,

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/netsim"
 )
 
 // testConfig is a small chain that completes quickly even under -race.
@@ -95,7 +98,6 @@ func get(t *testing.T, url string) (string, error) {
 // match the final per-router outcome counters exactly.
 func TestMetricsMatchFinalStats(t *testing.T) {
 	cfg := testConfig()
-	cfg.useFast = true // exercise the RCU path so the snapshot memory gauges are live
 	cfg.metricsAddr = "127.0.0.1:0"
 	cfg.linger = 10 * time.Second
 	addrCh := make(chan string, 1)
@@ -215,6 +217,16 @@ func TestMetricsMatchFinalStats(t *testing.T) {
 		}
 	}
 
+	// Every receive batch is observed once, so each router's batch-size
+	// histogram holds at least one batch and no more batches than
+	// packets.
+	batches := scrape(body, "clued_batch_size_count", "router")
+	for _, rep := range out.res.routers {
+		if n := batches[rep.name][rep.name]; n == 0 || n > rep.packets {
+			t.Errorf("router %s: clued_batch_size_count %d, want 1..%d", rep.name, n, rep.packets)
+		}
+	}
+
 	errs := scrape(body, "clued_errors_total", "kind")
 	for _, rep := range out.res.routers {
 		for kind, want := range map[string]uint64{
@@ -230,81 +242,111 @@ func TestMetricsMatchFinalStats(t *testing.T) {
 }
 
 // TestWorkersDeliverAll pushes a concurrent (non-sequential) workload
-// through pipelined routers: every packet must still be delivered, every
-// router must process every packet exactly once, the per-worker counters
-// must sum to the router totals, and a pipelined run must learn the same
-// clue entries as a serial run (learning is set-convergent regardless of
-// drain order).
+// through routers running one and four copies of the forwarding loop:
+// every packet must still be delivered, every router must process every
+// packet exactly once, the per-worker counters must sum to the router
+// totals, and the four-copy run must learn the same clue entries as the
+// one-copy run (learning is set-convergent regardless of handling
+// order).
 func TestWorkersDeliverAll(t *testing.T) {
 	cfg := testConfig()
 	cfg.sequential = false
 	cfg.packets = 120
-	cfg.useFast = true
 
-	cfg.workers = 1
-	serial := mustRun(t, cfg)
-
-	cfg.workers = 4
-	piped := mustRun(t, cfg)
-
-	for _, rep := range piped.routers {
-		if rep.packets != uint64(cfg.packets) {
-			t.Errorf("router %s processed %d packets, want %d", rep.name, rep.packets, cfg.packets)
+	var runs []*result
+	for _, workers := range []int{1, 4} {
+		cfg.workers = workers
+		res := mustRun(t, cfg)
+		for _, rep := range res.routers {
+			if rep.packets != uint64(cfg.packets) {
+				t.Errorf("workers=%d: router %s processed %d packets, want %d",
+					workers, rep.name, rep.packets, cfg.packets)
+			}
+			if rep.workerPackets != rep.packets {
+				t.Errorf("workers=%d: router %s per-worker packets sum to %d, router total %d",
+					workers, rep.name, rep.workerPackets, rep.packets)
+			}
+			if drops := rep.malformed + rep.noRoute + rep.expired; rep.workerErrors != drops {
+				t.Errorf("workers=%d: router %s per-worker errors sum to %d, router drops %d",
+					workers, rep.name, rep.workerErrors, drops)
+			}
 		}
+		runs = append(runs, res)
 	}
-	for i := range piped.routers {
-		s, p := serial.routers[i], piped.routers[i]
+	for i := range runs[0].routers {
+		s, p := runs[0].routers[i], runs[1].routers[i]
 		if s.entries != p.entries || s.learned != p.learned {
-			t.Errorf("router %s: serial learned %d/%d entries, pipelined %d/%d",
+			t.Errorf("router %s: one loop learned %d/%d entries, four loops %d/%d",
 				s.name, s.learned, s.entries, p.learned, p.entries)
 		}
 	}
-	if piped.workerPackets != uint64(cfg.packets*cfg.routers) {
-		t.Errorf("worker counters drained %d datagrams, want %d",
-			piped.workerPackets, cfg.packets*cfg.routers)
-	}
 }
 
-// TestFastpathFinalStatsParity is the differential regression test for the
-// -fastpath accounting sweep: the same sequential workload pushed through
-// interpreted clue tables and compiled fastpath snapshots must produce
-// identical final statistics — packets, references, outcome counts and the
-// learned-entry count (the historical suspect: RCU learning happens on the
-// writer side, and a double-counted or dropped Learn shows up here).
-func TestFastpathFinalStatsParity(t *testing.T) {
+// TestChainMatchesNetsim is the oracle for the -routers chain: the same
+// sequential destinations pushed through the UDP daemon and through
+// netsim over the identical newChain tables must agree router by
+// router — packets, memory references, outcome counts and the learned
+// clue entries. netsim runs the interpreted core tables with the same
+// Simple method and Patricia engine the chain configures, so references
+// must match exactly too: the compiled snapshots charge what the
+// interpreted tables charge (the fastpath differential suite pins that).
+func TestChainMatchesNetsim(t *testing.T) {
 	cfg := testConfig()
-	slow := mustRun(t, cfg)
-	cfg.useFast = true
-	fast := mustRun(t, cfg)
+	res := mustRun(t, cfg)
 
-	if len(slow.routers) != len(fast.routers) {
-		t.Fatalf("router count differs: %d vs %d", len(slow.routers), len(fast.routers))
+	ch, err := newChain(cfg.routers, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.New(ch.tables)
+	for _, name := range ch.names {
+		sim.Router(name).SetMethod(core.Simple)
+	}
+	for i := 0; i < cfg.packets; i++ {
+		tr, err := sim.Send(ch.names[0], ch.dest(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Delivered {
+			t.Fatalf("netsim dropped packet %d (%v): %v", i, ch.dest(i), tr.Drop)
+		}
+	}
+
+	if len(res.routers) != len(ch.names) {
+		t.Fatalf("daemon reported %d routers, chain has %d", len(res.routers), len(ch.names))
 	}
 	labels := core.OutcomeLabels()
-	for i := range slow.routers {
-		s, f := slow.routers[i], fast.routers[i]
-		if s.name != f.name {
-			t.Fatalf("router order differs: %s vs %s", s.name, f.name)
+	for i, rep := range res.routers {
+		if rep.name != ch.names[i] {
+			t.Fatalf("router order differs: %s vs %s", rep.name, ch.names[i])
 		}
-		if s.packets != f.packets {
-			t.Errorf("router %s: packets %d (interpreted) != %d (fastpath)", s.name, s.packets, f.packets)
+		r := sim.Router(rep.name)
+		st := r.Stats()
+		if rep.packets != uint64(st.Packets) || rep.refs != uint64(st.Refs) {
+			t.Errorf("router %s: %d packets / %d refs on the wire, %d / %d in netsim",
+				rep.name, rep.packets, rep.refs, st.Packets, st.Refs)
 		}
-		if s.refs != f.refs {
-			t.Errorf("router %s: refs %d (interpreted) != %d (fastpath)", s.name, s.refs, f.refs)
-		}
-		if s.outcomes != f.outcomes {
-			for j := range s.outcomes {
-				if s.outcomes[j] != f.outcomes[j] {
-					t.Errorf("router %s outcome %s: %d (interpreted) != %d (fastpath)",
-						s.name, labels[j], s.outcomes[j], f.outcomes[j])
-				}
+		simOut := r.Outcomes()
+		for o, lbl := range labels {
+			if want := uint64(simOut[core.Outcome(o)]); rep.outcomes[o] != want {
+				t.Errorf("router %s outcome %s: %d on the wire, %d in netsim",
+					rep.name, lbl, rep.outcomes[o], want)
 			}
 		}
-		if s.learned != f.learned {
-			t.Errorf("router %s: learned %d (interpreted) != %d (fastpath)", s.name, s.learned, f.learned)
+		// The daemon's one table corresponds to netsim's table for this
+		// router's chain upstream ("" at the head).
+		upstream := ""
+		if i > 0 {
+			upstream = ch.names[i-1]
 		}
-		if s.entries != f.entries {
-			t.Errorf("router %s: entries %d (interpreted) != %d (fastpath)", s.name, s.entries, f.entries)
+		var simLines []string
+		for _, e := range r.ExportClues(upstream) {
+			simLines = append(simLines, cluster.EntryLine(e))
+		}
+		sort.Strings(simLines)
+		if strings.Join(rep.clues, "\n") != strings.Join(simLines, "\n") {
+			t.Errorf("router %s: learned entries differ\nwire:   %v\nnetsim: %v",
+				rep.name, rep.clues, simLines)
 		}
 	}
 }

@@ -27,13 +27,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 
-	"repro/internal/batchio"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/fastpath"
 	"repro/internal/telemetry"
 )
 
@@ -56,29 +52,14 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewHopTracer(traceCapacity)
-	tel := newRouterTel(reg, cfg.name, max(1, cfg.spec.Workers))
-
-	ct := core.MustNewTable(nc.Config)
-	ct.SetTelemetry(tel.pm)
-	fast := fastpath.NewRCULayout(ct, cfg.spec.Layout)
-	registerFastpathMetrics(reg, cfg.name, fast)
-	reg.NewGauge("clued_table_entries",
-		"current clue-table entries", func() uint64 { return uint64(fast.Len()) },
-		telemetry.L("router", cfg.name))
-	reg.NewGauge("clued_learned_entries",
-		"clue-table entries learned on the fly", func() uint64 { return uint64(fast.Learned()) },
-		telemetry.L("router", cfg.name))
-
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	r, err := newRouter(reg, tracer, cfg.name, nc.Table, nc.Config,
+		cfg.spec.Layout, cfg.spec.Workers, cfg.spec.BatchIO)
 	if err != nil {
-		log.Printf("node %s: listen: %v", cfg.name, err)
+		log.Printf("node %s: %v", cfg.name, err)
 		return 1
 	}
-	defer conn.Close()
-	// A deep receive queue absorbs the generator's bursts; the kernel
-	// clamps to rmem_max, so failure or a smaller effective size only
-	// costs loss tolerance, never correctness.
-	_ = conn.SetReadBuffer(4 << 20)
+	defer r.conn.Close()
+	r.verbose = cfg.verbose
 
 	ln, err := net.Listen("tcp", cfg.metricsAddr)
 	if err != nil {
@@ -93,12 +74,7 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 	})
 	mux.HandleFunc("/entries", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		lines := make([]string, 0, fast.Len())
-		for _, e := range fast.Export() {
-			lines = append(lines, cluster.EntryLine(e))
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
+		for _, l := range entryLines(r.rcu) {
 			fmt.Fprintln(w, l)
 		}
 	})
@@ -113,7 +89,7 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 
 	// Handshake: banner out, address book in, READY out. Stdout carries
 	// only these lines (logs go to stderr), so the launcher can scan it.
-	fmt.Println(cluster.Banner(conn.LocalAddr().String(), ln.Addr().String()))
+	fmt.Println(cluster.Banner(r.conn.LocalAddr().String(), ln.Addr().String()))
 	stdin := bufio.NewReader(os.Stdin)
 	line, err := stdin.ReadString('\n')
 	if err != nil {
@@ -125,8 +101,7 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 		log.Printf("node %s: %v", cfg.name, err)
 		return 1
 	}
-	peers := make(map[string]*peerLink, len(book))
-	var sink *peerLink
+	r.peers = make(map[string]*peerLink, len(book))
 	for name, addrStr := range book {
 		addr, err := net.ResolveUDPAddr("udp4", addrStr)
 		if err != nil {
@@ -135,34 +110,16 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 		}
 		pl := &peerLink{name: name, addr: addr}
 		if name == cluster.SinkPeer {
-			sink = pl
+			r.sink = pl
 			continue
 		}
-		peers[name] = pl
-	}
-
-	bc := batchio.New(conn)
-	bc.SetBatching(cfg.spec.BatchIO)
-	r := &udpRouter{
-		name:    cfg.name,
-		conn:    conn,
-		bconn:   bc,
-		table:   nc.Table,
-		clues:   fast,
-		fast:    fast,
-		peers:   peers,
-		sink:    sink,
-		verbose: cfg.verbose,
-		workers: max(1, cfg.spec.Workers),
-		tel:     tel,
-		tracer:  tracer,
+		r.peers[name] = pl
 	}
 
 	serveCtx, cancelServe := context.WithCancel(ctx)
 	defer cancelServe()
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); r.serve(serveCtx) }()
+	r.start(serveCtx, &wg)
 
 	fmt.Println(cluster.Ready())
 
@@ -190,6 +147,6 @@ func runNode(ctx context.Context, cfg nodeConfig) int {
 	r.unblock()
 	wg.Wait()
 	log.Printf("node %s: shut down (%d delivered, %d entries learned)",
-		cfg.name, tel.delivered.Value(), fast.Learned())
+		cfg.name, r.tel.delivered.Value(), r.rcu.Learned())
 	return 0
 }

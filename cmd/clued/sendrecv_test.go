@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,16 +117,18 @@ func TestDeadPeerDoesNotStallLivePeers(t *testing.T) {
 
 // TestShutdownUnderIdleLatency pins the event-driven shutdown: an idle
 // router (readers parked in the kernel, no deadline polling) must exit
-// its serve loop well under the old 200 ms poll interval once the
-// context is canceled and the socket unblocked, in both data paths.
+// every copy of its serve loop well under the old 200 ms poll interval
+// once the context is canceled and the socket unblocked.
 func TestShutdownUnderIdleLatency(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			r := testRouter(t, workers)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			var wg sync.WaitGroup
+			r.start(ctx, &wg)
 			done := make(chan struct{})
-			go func() { r.serve(ctx); close(done) }()
+			go func() { wg.Wait(); close(done) }()
 			// Let the readers park in a blocking read.
 			time.Sleep(50 * time.Millisecond)
 			start := time.Now()

@@ -60,7 +60,7 @@ func main() {
 		clusterSeed = flag.Int64("clusterseed", 1, "universe/topology seed")
 		method      = flag.String("method", "simple", "clue method of non-head chain nodes: simple or advance")
 		layout      = flag.String("layout", "auto", "fastpath trie layout: auto, flat or compressed")
-		workers     = flag.Int("workers", 1, "pipeline workers per daemon")
+		workers     = flag.Int("workers", 1, "copies of the forwarding loop per daemon (clued -workers)")
 		batchIO     = flag.Bool("batchio", true, "batch socket I/O with sendmmsg/recvmmsg where supported")
 		cluedBin    = flag.String("clued", "", "path to a prebuilt clued binary (empty: go build it)")
 

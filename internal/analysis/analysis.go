@@ -23,8 +23,8 @@
 //     must degrade, not crash.
 //
 // The lock-free core that carries the ≈1-reference property — fastpath's
-// RCU atomic-pointer snapshots, the pipeline's SPSC rings, the padded
-// sharded telemetry counters — has invariants a race detector only
+// RCU atomic-pointer snapshots, the padded sharded telemetry counters
+// and packed trie nodes — has invariants a race detector only
 // catches when a test happens to interleave badly. Four analyzers make
 // them mechanical:
 //
@@ -134,7 +134,6 @@ func DefaultConfig() Config {
 			"repro/internal/fib":       true,
 			"repro/internal/fastpath":  true,
 			"repro/internal/telemetry": true,
-			"repro/internal/pipeline":  true,
 			// The churn harness probes visibility on the forwarding hot
 			// path while the writer patches snapshots; its loops must
 			// face the same allocation gate.
@@ -148,8 +147,7 @@ func DefaultConfig() Config {
 			"repro/cmd/cluegen": true,
 		},
 		GoroutinePackages: map[string]bool{
-			"repro/cmd/clued":         true,
-			"repro/internal/pipeline": true,
+			"repro/cmd/clued": true,
 		},
 		TargetArch: "amd64",
 	}

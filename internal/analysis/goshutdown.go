@@ -7,13 +7,14 @@ import (
 )
 
 // GoroutineShutdown audits every go statement in the long-running
-// packages (cmd/clued and internal/pipeline by Config, or any package
-// carrying a //cluevet:goroutines comment) for a shutdown edge: some
-// construct that lets the goroutine observe termination and lets a
-// joiner wait for it. A worker with no such edge leaks past Drain —
-// it keeps running through snapshot swaps and test teardown, which is
-// how "pipeline drained" becomes a lie and the race detector starts
-// firing on freed rings.
+// packages (cmd/clued by Config, or any package carrying a
+// //cluevet:goroutines comment) for a shutdown edge: some construct that
+// lets the goroutine observe termination and lets a joiner wait for it.
+// A forwarding loop with no such edge leaks past shutdown — it keeps
+// running through snapshot swaps and test teardown, which is how
+// "daemon drained" becomes a lie and the race detector starts firing on
+// closed sockets. clued's N copies of serve pass both edges: each takes
+// the serve context and is joined through a WaitGroup.
 //
 // The recognized edges, checked in the goroutine body and, for calls to
 // same-package functions, two levels deep:

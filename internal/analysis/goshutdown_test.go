@@ -89,7 +89,7 @@ func spin() {
 }
 
 // Config.GoroutinePackages opts a package in without touching its
-// source, the way cmd/clued and internal/pipeline are enrolled.
+// source, the way cmd/clued is enrolled.
 func TestGoroutineShutdownConfigOptIn(t *testing.T) {
 	src := `package conf
 

@@ -14,9 +14,9 @@ const cacheLine = 64
 
 // PaddingLayout verifies, from real go/types field offsets, that the
 // padded concurrency structs actually deliver the layout their comments
-// promise. The hot structs — telemetry's counter shards, the pipeline's
-// ring cursors and per-worker stats — are hand-padded so concurrent
-// writers never false-share a cache line; nothing re-checks the
+// promise. The hot structs — telemetry's counter shards, the fastpath's
+// packed trie nodes — are hand-padded so concurrent writers never
+// false-share a cache line; nothing re-checks the
 // arithmetic when a field is added, a slice header replaces an array,
 // or the struct is instantiated with a different type argument. This
 // analyzer does, against a target types.Sizes (Config.TargetArch,
@@ -37,8 +37,8 @@ const cacheLine = 64
 //     straddling access for packed lookup nodes.
 //
 // Generic structs are checked per instantiation found in the package
-// (Ring[Packet], not the uninstantiated Ring[T]): layout depends on the
-// type argument.
+// (pair[[8]byte], not the uninstantiated pair[T]): layout depends on
+// the type argument.
 var PaddingLayout = &Analyzer{
 	Name: "padding-layout",
 	Doc:  "structs marked //cluevet:padded keep concurrently-written fields on distinct cache lines (checked from go/types offsets)",

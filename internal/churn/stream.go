@@ -1,8 +1,8 @@
 // Package churn is the BGP churn replay harness: it synthesizes bursty,
 // BGP-shaped route-update streams over internal/synth tables — seeded
 // and deterministic like internal/fault — and replays them through the
-// internal/bgp update adapter into a live fastpath.RCU while an
-// internal/pipeline engine forwards packets at full rate, measuring how
+// internal/bgp update adapter into a live fastpath.RCU while forwarding
+// goroutines run packets at full rate, measuring how
 // long an update takes to become visible to the read side (update
 // issued → first packet observing it) and proving, by a post-quiesce
 // differential sweep, that the incrementally patched snapshot ends up

@@ -66,7 +66,8 @@ type Spec struct {
 	// Layout forces the fastpath trie representation
 	// (fastpath.LayoutAuto/Flat/Compressed).
 	Layout fastpath.Layout
-	// Workers is the per-daemon pipeline width (clued -workers).
+	// Workers is how many copies of the forwarding loop each daemon runs
+	// on its socket (clued -workers); 0 means 1.
 	Workers int
 	// BatchIO toggles sendmmsg/recvmmsg batching in every daemon and in
 	// the generator (false forces one datagram per syscall everywhere —

@@ -9,15 +9,13 @@ import (
 	"repro/internal/ip"
 	"repro/internal/lookup"
 	"repro/internal/mem"
-	"repro/internal/pipeline"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
 // RCUChurnResult is the ClassChurn soak run against the wait-free read
-// path: fastpath.RCU under all three writer grades at once, with a
-// pipeline forwarding (and learning) at full rate on top of the checker
-// goroutines. Violations counts checker answers matching NEITHER route
+// path: fastpath.RCU under all three writer grades at once, with
+// forwarders learning at full rate on top of the checker goroutines. Violations counts checker answers matching NEITHER route
 // state — the same two-valued invariant as ChurnSoak.
 type RCUChurnResult struct {
 	Packets       int // checker lookups (incl. the quiesced sweep)
@@ -26,8 +24,8 @@ type RCUChurnResult struct {
 	Invalidations int // §3.4 invalidate/revalidate pairs, entry-patch grade
 	Violations    int64
 
-	Forwarded uint64 // packets drained by the pipeline during the race
-	Learned   int    // entries the pipeline's misses taught the table
+	Forwarded uint64 // packets the forwarders processed during the race
+	Learned   int    // entries the forwarders' misses taught the table
 
 	// Mismatches counts post-quiesce packets where the settled snapshot
 	// differed from a from-scratch compile of the same table — outcome,
@@ -47,8 +45,8 @@ type RCUChurnResult struct {
 // Mutate, this races all three RCU writer grades against wait-free
 // readers — route flips through the bounded writer queue (Enqueue →
 // Apply), sender flips moving Advance candidate sets, and
-// invalidate/revalidate entry patches — while a pipeline.RCUEngine
-// forwards and learns concurrently. Readers never block by
+// invalidate/revalidate entry patches — while forwarding goroutines
+// process and learn concurrently. Readers never block by
 // construction; run it under -race to prove they never tear either.
 // Every checker answer must match the full lookup in one of the two
 // route states, and the settled state exactly after quiesce.
@@ -158,18 +156,30 @@ func RCUChurnSoak(cfg ChurnConfig) (RCUChurnResult, error) {
 		}
 	}()
 
-	// The pipeline forwards (and learns from) the same packets on the
-	// main goroutine — Push is single-producer.
-	eng := pipeline.NewRCUEngine(rcu, pipeline.Config{Workers: 2, RingCap: 256}, true)
-	for _, p := range pkts {
-		eng.Push(pipeline.Packet{Dest: p.dest, Clue: p.clue})
+	// Two forwarders process (and learn from) the same packets, split by
+	// destination hash so each flow's misses are learned in its arrival
+	// order on one goroutine.
+	const forwarders = 2
+	var forwarded atomic.Uint64
+	for w := uint64(0); w < forwarders; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range pkts {
+				if p.dest.Hash()%forwarders != w {
+					continue
+				}
+				if r := rcu.Process(p.dest, p.clue, nil); r.Outcome == core.OutcomeMiss {
+					rcu.Learn(p.dest, p.clue)
+				}
+				forwarded.Add(1)
+			}
+		}()
 	}
 	wg.Wait()
 	rcu.StopApplier() // drains: the settled route state is now published
-	eng.Close()
-	eng.Wait()
 	res.Packets = cfg.Workers * len(pkts)
-	res.Forwarded = eng.Stats().Processed
+	res.Forwarded = forwarded.Load()
 	res.Learned = rcu.Learned()
 
 	// Quiesced: every answer must match the settled state exactly.

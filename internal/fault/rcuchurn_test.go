@@ -7,7 +7,7 @@ import (
 )
 
 // TestRCUChurnSoak races the three RCU writer grades against wait-free
-// readers and a learning pipeline, on both snapshot layouts — since
+// readers and learning forwarders, on both snapshot layouts — since
 // ISSUE 10 the compressed one absorbs Apply batches by patching packed
 // subtrees in place, so it must survive the same race and settle to the
 // same state a from-scratch compile produces. Deterministic tables,
@@ -43,7 +43,7 @@ func TestRCUChurnSoak(t *testing.T) {
 				t.Fatal("no sender flips applied")
 			}
 			if res.Forwarded != uint64(cfg.Packets) {
-				t.Fatalf("pipeline forwarded %d packets, want %d", res.Forwarded, cfg.Packets)
+				t.Fatalf("forwarders processed %d packets, want %d", res.Forwarded, cfg.Packets)
 			}
 			if res.Applies == 0 && res.Recompiles == 0 {
 				t.Fatal("no batches published: the queue never drained")

@@ -95,6 +95,18 @@ func (a Addr) Uint32() uint32 {
 // Halves returns the two left-aligned 64-bit halves of the address.
 func (a Addr) Halves() (hi, lo uint64) { return a.hi, a.lo }
 
+// Hash mixes the address into 64 well-spread bits (a murmur3 finalizer
+// over a golden-ratio fold of the halves). Hash() % n shards flows
+// across n goroutines so every packet to one destination lands on the
+// same one.
+func (a Addr) Hash() uint64 {
+	x := a.hi ^ (a.lo * 0x9E3779B97F4A7C15)
+	x ^= x >> 33
+	x *= 0xFF51AFD7ED558CCD
+	x ^= x >> 29
+	return x
+}
+
 // Bit returns bit i of the address, where bit 0 is the most significant bit
 // of the first octet. The result is 0 or 1.
 func (a Addr) Bit(i int) byte {

@@ -216,3 +216,26 @@ func TestQuickWithBitRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestHashSpreadsShards checks that Hash spreads a /20's worth of
+// consecutive IPv4 hosts, and of IPv6 hosts differing only in the low
+// half, over four shards instead of pinning them to one.
+func TestHashSpreadsShards(t *testing.T) {
+	const shards = 4
+	for _, fam := range []string{"IPv4", "IPv6"} {
+		var hist [shards]int
+		for i := 0; i < 4096; i++ {
+			a := AddrFrom32(0xc0a80000 | uint32(i))
+			if fam == "IPv6" {
+				a = AddrFrom128(0x20010db800000000, uint64(i))
+			}
+			hist[a.Hash()%shards]++
+		}
+		for s, n := range hist {
+			// Fair share is 1024; accept anything within 2x either way.
+			if n < 512 || n > 2048 {
+				t.Fatalf("%s: shard %d got %d of 4096 hosts; histogram %v", fam, s, n, hist)
+			}
+		}
+	}
+}

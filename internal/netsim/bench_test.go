@@ -10,8 +10,7 @@ import (
 
 // benchNetwork is figure1Network without the *testing.T plumbing, shared
 // by the Send benchmarks (the satellite-1 before/after measurement: the
-// per-packet lazy-table mutex vs. pre-built tables) and the Drive scaling
-// benchmarks.
+// per-packet lazy-table mutex vs. pre-built tables).
 func benchNetwork(chainLen int) (*Network, []string, ip.Addr) {
 	top := routing.NewTopology()
 	names := routing.Chain(top, "r", chainLen)
@@ -68,35 +67,6 @@ func BenchmarkNetsimSend(b *testing.B) {
 				if _, err := n.Send(names[0], dests[i%len(dests)]); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkNetsimDrive measures the sharded pipeline driver end to end
-// at several worker counts over a warm workload (ns per packet, whole
-// chain traversal included).
-func BenchmarkNetsimDrive(b *testing.B) {
-	n, names, host := benchNetwork(8)
-	n.SetFastPath(true)
-	dests := benchDests(host, 64)
-	for _, d := range dests {
-		if _, err := n.Send(names[0], d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
-			flows := make([]Flow, b.N)
-			for i := range flows {
-				flows[i] = Flow{Src: names[0], Dest: dests[i%len(dests)]}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			res := n.Drive(flows, workers)
-			b.StopTimer()
-			if res.Errors != 0 || res.Sent != b.N {
-				b.Fatalf("drive failed: %+v", res)
 			}
 		})
 	}

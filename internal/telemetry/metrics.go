@@ -44,7 +44,7 @@ func NewPacketMetrics(r *Registry, prefix string, outcomeLabels []string, constL
 		ns: r.NewHistogram(prefix+"_ns_per_packet",
 			"wall-clock nanoseconds per packet", DefaultNsBuckets, constLabels...),
 		batch: r.NewHistogram(prefix+"_batch_size",
-			"packets per ProcessBatch call", DefaultBatchBuckets, constLabels...),
+			"packets per batch: one ProcessBatch call, or one daemon socket receive", DefaultBatchBuckets, constLabels...),
 	}
 }
 
